@@ -14,10 +14,16 @@ for CPython throughput instead of readability:
   integers* — one ``(level << 56) | (low << 28) | high`` int per triple
   — in CPython's open-addressed hash tables, skipping per-probe tuple
   allocation and triple hashing.
-* ``and``/``or``/``not``/``ite``, quantification, renaming, restriction
-  and counting run as iterative explicit-stack loops (no Python-level
-  recursion): stack frames are packed ints too, and the hot loops bind
-  every table to a local.
+* ``and``/``or``/``and_not`` and the fused and-exists product recurse,
+  one Python call per expanded operand pair, probing the computed table
+  before each call; ``not``/``ite``, plain quantification, renaming,
+  restriction and counting run as iterative explicit-stack loops whose
+  frames are packed ints too.  The hot loops bind every table to a
+  local.
+* The and-exists product stops descending once nothing below is left
+  to quantify or conjoin: a pair ``(TRUE, g)`` whose support misses the
+  quantified levels is ``g`` itself, so the frame conditions of a
+  partitioned image no longer walk the untouched part of the frontier.
 * :meth:`and_exists_list` keeps the exact greedy early-quantification
   schedule of the base class but runs it on integer bitmask supports.
 
@@ -35,6 +41,7 @@ up with an ``IndexError`` instead of silently denoting another function.
 
 from __future__ import annotations
 
+import sys
 from array import array
 
 from repro.mc.kernel import TERMINAL_LEVEL, KernelBase
@@ -48,12 +55,13 @@ _DEAD_CHILD = _ID_MASK
 #: Level sentinel for collected slots (real levels are >= 0).
 _DEAD_LEVEL = -1
 
+#: Interpreter frames kept free above the recursive apply loops, whose
+#: depth grows with the variable count (see :meth:`FastKernel.add_var`).
+_RECURSION_HEADROOM = 500
+
 #: Phase/ready bits for packed stack frames.
 _READY1 = 1 << 60          # unary loops: frame = node (+ _READY1)
-_READY2 = 1 << 56          # binary loops: frame = (a << 28) | b (+ _READY2)
 _READY3 = 1 << 84          # ite: frame = (f << 56) | (g << 28) | h (+ _READY3)
-_PH = 58                   # and_exists: frame = (phase << 58) | (a << 28) | b
-_PH_MASK = (1 << _PH) - 1
 
 
 class FastKernel(KernelBase):
@@ -98,6 +106,15 @@ class FastKernel(KernelBase):
     # ------------------------------------------------------------------
     # Core construction
     # ------------------------------------------------------------------
+    def add_var(self, name: str) -> int:
+        """Register a variable, keeping the interpreter's recursion limit
+        above the apply loops' worst-case depth (two frames per level)."""
+        node = super().add_var(name)
+        needed = 2 * len(self._var_names) + _RECURSION_HEADROOM
+        if sys.getrecursionlimit() < needed:
+            sys.setrecursionlimit(needed)
+        return node
+
     def _mk(self, level: int, low: int, high: int) -> int:
         if low == high:
             return low
@@ -150,106 +167,101 @@ class FastKernel(KernelBase):
         self._index_dirty = False
 
     # ------------------------------------------------------------------
-    # Binary connectives (iterative, specialized)
+    # Binary connectives (recursive, specialized)
     # ------------------------------------------------------------------
-    def and_(self, f: int, g: int) -> int:
-        if f > g:
-            f, g = g, f
-        if f == 0:
-            return 0
-        if f == 1:
-            return g
-        if f == g:
-            return f
-        cache = self._and_cache
-        root_key = (f << _SH) | g
-        result = cache.get(root_key)
-        if result is not None:
-            self._cache_lookups += 1
-            self._cache_hits += 1
-            return result
-        level = self._level
-        low = self._low
-        high = self._high
-        unique = self._unique
-        lookups = hits = created = 0
-        stack = [root_key]
-        push = stack.append
-        while stack:
-            frame = stack.pop()
-            if frame < _READY2:
-                lookups += 1
-                if frame in cache:
-                    hits += 1
-                    continue
-                a = frame >> _SH
-                b = frame & _ID_MASK
-                la = level[a]
-                lb = level[b]
-                if la < lb:
-                    a0 = low[a]; a1 = high[a]; b0 = b; b1 = b
-                elif lb < la:
-                    a0 = a; a1 = a; b0 = low[b]; b1 = high[b]
-                else:
-                    a0 = low[a]; a1 = high[a]; b0 = low[b]; b1 = high[b]
-                push(frame | _READY2)
-                if a1 > b1:
-                    a1, b1 = b1, a1
-                if a1 > 1 and a1 != b1:
-                    push((a1 << _SH) | b1)
-                if a0 > b0:
-                    a0, b0 = b0, a0
-                if a0 > 1 and a0 != b0:
-                    push((a0 << _SH) | b0)
-            else:
-                key = frame ^ _READY2
-                a = key >> _SH
-                b = key & _ID_MASK
-                la = level[a]
-                lb = level[b]
-                if la < lb:
-                    lv = la; a0 = low[a]; a1 = high[a]; b0 = b; b1 = b
-                elif lb < la:
-                    lv = lb; a0 = a; a1 = a; b0 = low[b]; b1 = high[b]
-                else:
-                    lv = la; a0 = low[a]; a1 = high[a]; b0 = low[b]; b1 = high[b]
-                if a0 > b0:
-                    a0, b0 = b0, a0
-                if a0 == 0:
-                    r0 = 0
-                elif a0 == 1 or a0 == b0:
-                    r0 = b0
-                else:
-                    r0 = cache[(a0 << _SH) | b0]
-                if a1 > b1:
-                    a1, b1 = b1, a1
-                if a1 == 0:
-                    r1 = 0
-                elif a1 == 1 or a1 == b1:
-                    r1 = b1
-                else:
-                    r1 = cache[(a1 << _SH) | b1]
-                if r0 == r1:
-                    cache[key] = r0
-                    continue
-                unique_key = (lv << 56) | (r0 << _SH) | r1
-                res = unique.get(unique_key)
-                if res is None:
-                    res = len(level)
-                    if res >= _DEAD_CHILD:
-                        raise RuntimeError("fast kernel node-id space exhausted")
-                    level.append(lv)
-                    low.append(r0)
-                    high.append(r1)
-                    unique[unique_key] = res
-                    created += 1
-                cache[key] = res
+    # The apply loops recurse: one Python call per expanded operand pair
+    # decodes each pair once, where an explicit stack decodes it twice
+    # and pays a push and a pop per child.  Children are probed in the
+    # computed table before the call, so a hit costs no call at all.
+    # Depth stays within twice the variable count (an and-exists level
+    # may nest an OR), as in the reference kernel.
+    def _settle(self, lookups: int, hits: int, created: int) -> None:
+        """Fold one operation's table traffic into the kernel counters."""
         self._cache_lookups += lookups
         self._cache_hits += hits
         if created:
             self._live += created
             self._index_dirty = True
-        return cache[root_key]
+
+    def and_(self, f: int, g: int) -> int:
+        if f > g:
+            f, g = g, f
+        if f == 0:
+            return 0
+        if f == 1 or f == g:
+            return g
+        cache = self._and_cache
+        root_key = (f << _SH) | g
+        result = cache.get(root_key)
+        if result is not None:
+            self._settle(1, 1, 0)
+            return result
+        level = self._level
+        low = self._low
+        high = self._high
+        unique = self._unique
+        hits = created = 0
+
+        def apply(a: int, b: int, key: int) -> int:
+            nonlocal hits, created
+            la = level[a]
+            lb = level[b]
+            if la < lb:
+                lv = la; a0 = low[a]; a1 = high[a]; b0 = b; b1 = b
+            elif lb < la:
+                lv = lb; a0 = a; a1 = a; b0 = low[b]; b1 = high[b]
+            else:
+                lv = la; a0 = low[a]; a1 = high[a]; b0 = low[b]; b1 = high[b]
+            if a0 > b0:
+                a0, b0 = b0, a0
+            if a0 == 0:
+                r0 = 0
+            elif a0 == 1 or a0 == b0:
+                r0 = b0
+            else:
+                child = (a0 << _SH) | b0
+                r0 = cache.get(child)
+                if r0 is None:
+                    r0 = apply(a0, b0, child)
+                else:
+                    hits += 1
+            if a1 > b1:
+                a1, b1 = b1, a1
+            if a1 == 0:
+                r1 = 0
+            elif a1 == 1 or a1 == b1:
+                r1 = b1
+            else:
+                child = (a1 << _SH) | b1
+                r1 = cache.get(child)
+                if r1 is None:
+                    r1 = apply(a1, b1, child)
+                else:
+                    hits += 1
+            if r0 == r1:
+                cache[key] = r0
+                return r0
+            unique_key = (lv << 56) | (r0 << _SH) | r1
+            res = unique.get(unique_key)
+            if res is None:
+                res = len(level)
+                if res >= _DEAD_CHILD:
+                    raise RuntimeError("fast kernel node-id space exhausted")
+                level.append(lv)
+                low.append(r0)
+                high.append(r1)
+                unique[unique_key] = res
+                created += 1
+            cache[key] = res
+            return res
+
+        entries = len(cache)
+        try:
+            result = apply(f, g, root_key)
+        finally:
+            del apply  # the closure refers to itself: free it now, not in a GC pass
+        self._settle(hits + len(cache) - entries, hits, created)
+        return result
 
     def and_not(self, f: int, g: int) -> int:
         """Fused ``f & ~g`` — no canonicalization (not symmetric), its
@@ -265,88 +277,75 @@ class FastKernel(KernelBase):
         root_key = (f << _SH) | g
         result = cache.get(root_key)
         if result is not None:
-            self._cache_lookups += 1
-            self._cache_hits += 1
+            self._settle(1, 1, 0)
             return result
         level = self._level
         low = self._low
         high = self._high
         unique = self._unique
         not_ = self.not_
-        lookups = hits = created = 0
-        stack = [root_key]
-        push = stack.append
-        while stack:
-            frame = stack.pop()
-            if frame < _READY2:
-                lookups += 1
-                if frame in cache:
-                    hits += 1
-                    continue
-                a = frame >> _SH
-                b = frame & _ID_MASK
-                la = level[a]
-                lb = level[b]
-                if la < lb:
-                    a0 = low[a]; a1 = high[a]; b0 = b; b1 = b
-                elif lb < la:
-                    a0 = a; a1 = a; b0 = low[b]; b1 = high[b]
-                else:
-                    a0 = low[a]; a1 = high[a]; b0 = low[b]; b1 = high[b]
-                push(frame | _READY2)
-                if a1 > 1 and 1 < b1 != a1:
-                    push((a1 << _SH) | b1)
-                if a0 > 1 and 1 < b0 != a0:
-                    push((a0 << _SH) | b0)
+        hits = created = 0
+
+        def apply(a: int, b: int, key: int) -> int:
+            nonlocal hits, created
+            la = level[a]
+            lb = level[b]
+            if la < lb:
+                lv = la; a0 = low[a]; a1 = high[a]; b0 = b; b1 = b
+            elif lb < la:
+                lv = lb; a0 = a; a1 = a; b0 = low[b]; b1 = high[b]
             else:
-                key = frame ^ _READY2
-                a = key >> _SH
-                b = key & _ID_MASK
-                la = level[a]
-                lb = level[b]
-                if la < lb:
-                    lv = la; a0 = low[a]; a1 = high[a]; b0 = b; b1 = b
-                elif lb < la:
-                    lv = lb; a0 = a; a1 = a; b0 = low[b]; b1 = high[b]
+                lv = la; a0 = low[a]; a1 = high[a]; b0 = low[b]; b1 = high[b]
+            if a0 == 0 or b0 == 1 or a0 == b0:
+                r0 = 0
+            elif b0 == 0:
+                r0 = a0
+            elif a0 == 1:
+                r0 = not_(b0)
+            else:
+                child = (a0 << _SH) | b0
+                r0 = cache.get(child)
+                if r0 is None:
+                    r0 = apply(a0, b0, child)
                 else:
-                    lv = la; a0 = low[a]; a1 = high[a]; b0 = low[b]; b1 = high[b]
-                if a0 == 0 or b0 == 1 or a0 == b0:
-                    r0 = 0
-                elif b0 == 0:
-                    r0 = a0
-                elif a0 == 1:
-                    r0 = not_(b0)
+                    hits += 1
+            if a1 == 0 or b1 == 1 or a1 == b1:
+                r1 = 0
+            elif b1 == 0:
+                r1 = a1
+            elif a1 == 1:
+                r1 = not_(b1)
+            else:
+                child = (a1 << _SH) | b1
+                r1 = cache.get(child)
+                if r1 is None:
+                    r1 = apply(a1, b1, child)
                 else:
-                    r0 = cache[(a0 << _SH) | b0]
-                if a1 == 0 or b1 == 1 or a1 == b1:
-                    r1 = 0
-                elif b1 == 0:
-                    r1 = a1
-                elif a1 == 1:
-                    r1 = not_(b1)
-                else:
-                    r1 = cache[(a1 << _SH) | b1]
-                if r0 == r1:
-                    cache[key] = r0
-                    continue
-                unique_key = (lv << 56) | (r0 << _SH) | r1
-                res = unique.get(unique_key)
-                if res is None:
-                    res = len(level)
-                    if res >= _DEAD_CHILD:
-                        raise RuntimeError("fast kernel node-id space exhausted")
-                    level.append(lv)
-                    low.append(r0)
-                    high.append(r1)
-                    unique[unique_key] = res
-                    created += 1
-                cache[key] = res
-        self._cache_lookups += lookups
-        self._cache_hits += hits
-        if created:
-            self._live += created
-            self._index_dirty = True
-        return cache[root_key]
+                    hits += 1
+            if r0 == r1:
+                cache[key] = r0
+                return r0
+            unique_key = (lv << 56) | (r0 << _SH) | r1
+            res = unique.get(unique_key)
+            if res is None:
+                res = len(level)
+                if res >= _DEAD_CHILD:
+                    raise RuntimeError("fast kernel node-id space exhausted")
+                level.append(lv)
+                low.append(r0)
+                high.append(r1)
+                unique[unique_key] = res
+                created += 1
+            cache[key] = res
+            return res
+
+        entries = len(cache)
+        try:
+            result = apply(f, g, root_key)
+        finally:
+            del apply  # the closure refers to itself: free it now, not in a GC pass
+        self._settle(hits + len(cache) - entries, hits, created)
+        return result
 
     def or_(self, f: int, g: int) -> int:
         if f > g:
@@ -359,91 +358,74 @@ class FastKernel(KernelBase):
         root_key = (f << _SH) | g
         result = cache.get(root_key)
         if result is not None:
-            self._cache_lookups += 1
-            self._cache_hits += 1
+            self._settle(1, 1, 0)
             return result
         level = self._level
         low = self._low
         high = self._high
         unique = self._unique
-        lookups = hits = created = 0
-        stack = [root_key]
-        push = stack.append
-        while stack:
-            frame = stack.pop()
-            if frame < _READY2:
-                lookups += 1
-                if frame in cache:
-                    hits += 1
-                    continue
-                a = frame >> _SH
-                b = frame & _ID_MASK
-                la = level[a]
-                lb = level[b]
-                if la < lb:
-                    a0 = low[a]; a1 = high[a]; b0 = b; b1 = b
-                elif lb < la:
-                    a0 = a; a1 = a; b0 = low[b]; b1 = high[b]
-                else:
-                    a0 = low[a]; a1 = high[a]; b0 = low[b]; b1 = high[b]
-                push(frame | _READY2)
-                if a1 > b1:
-                    a1, b1 = b1, a1
-                if a1 > 1 and a1 != b1:
-                    push((a1 << _SH) | b1)
-                if a0 > b0:
-                    a0, b0 = b0, a0
-                if a0 > 1 and a0 != b0:
-                    push((a0 << _SH) | b0)
+        hits = created = 0
+
+        def apply(a: int, b: int, key: int) -> int:
+            nonlocal hits, created
+            la = level[a]
+            lb = level[b]
+            if la < lb:
+                lv = la; a0 = low[a]; a1 = high[a]; b0 = b; b1 = b
+            elif lb < la:
+                lv = lb; a0 = a; a1 = a; b0 = low[b]; b1 = high[b]
             else:
-                key = frame ^ _READY2
-                a = key >> _SH
-                b = key & _ID_MASK
-                la = level[a]
-                lb = level[b]
-                if la < lb:
-                    lv = la; a0 = low[a]; a1 = high[a]; b0 = b; b1 = b
-                elif lb < la:
-                    lv = lb; a0 = a; a1 = a; b0 = low[b]; b1 = high[b]
+                lv = la; a0 = low[a]; a1 = high[a]; b0 = low[b]; b1 = high[b]
+            if a0 > b0:
+                a0, b0 = b0, a0
+            if a0 == 1:
+                r0 = 1
+            elif a0 == 0 or a0 == b0:
+                r0 = b0
+            else:
+                child = (a0 << _SH) | b0
+                r0 = cache.get(child)
+                if r0 is None:
+                    r0 = apply(a0, b0, child)
                 else:
-                    lv = la; a0 = low[a]; a1 = high[a]; b0 = low[b]; b1 = high[b]
-                if a0 > b0:
-                    a0, b0 = b0, a0
-                if a0 == 1:
-                    r0 = 1
-                elif a0 == 0 or a0 == b0:
-                    r0 = b0
+                    hits += 1
+            if a1 > b1:
+                a1, b1 = b1, a1
+            if a1 == 1:
+                r1 = 1
+            elif a1 == 0 or a1 == b1:
+                r1 = b1
+            else:
+                child = (a1 << _SH) | b1
+                r1 = cache.get(child)
+                if r1 is None:
+                    r1 = apply(a1, b1, child)
                 else:
-                    r0 = cache[(a0 << _SH) | b0]
-                if a1 > b1:
-                    a1, b1 = b1, a1
-                if a1 == 1:
-                    r1 = 1
-                elif a1 == 0 or a1 == b1:
-                    r1 = b1
-                else:
-                    r1 = cache[(a1 << _SH) | b1]
-                if r0 == r1:
-                    cache[key] = r0
-                    continue
-                unique_key = (lv << 56) | (r0 << _SH) | r1
-                res = unique.get(unique_key)
-                if res is None:
-                    res = len(level)
-                    if res >= _DEAD_CHILD:
-                        raise RuntimeError("fast kernel node-id space exhausted")
-                    level.append(lv)
-                    low.append(r0)
-                    high.append(r1)
-                    unique[unique_key] = res
-                    created += 1
-                cache[key] = res
-        self._cache_lookups += lookups
-        self._cache_hits += hits
-        if created:
-            self._live += created
-            self._index_dirty = True
-        return cache[root_key]
+                    hits += 1
+            if r0 == r1:
+                cache[key] = r0
+                return r0
+            unique_key = (lv << 56) | (r0 << _SH) | r1
+            res = unique.get(unique_key)
+            if res is None:
+                res = len(level)
+                if res >= _DEAD_CHILD:
+                    raise RuntimeError("fast kernel node-id space exhausted")
+                level.append(lv)
+                low.append(r0)
+                high.append(r1)
+                unique[unique_key] = res
+                created += 1
+            cache[key] = res
+            return res
+
+        entries = len(cache)
+        try:
+            result = apply(f, g, root_key)
+        finally:
+            del apply  # the closure refers to itself: free it now, not in a GC pass
+        self._settle(hits + len(cache) - entries, hits, created)
+        return result
 
     def not_(self, f: int) -> int:
         if f < 2:
@@ -705,47 +687,34 @@ class FastKernel(KernelBase):
         in favor of the persistent per-mask table."""
         return self._and_exists_mask(self._levels_mask(levels), f, g)
 
-    def _and_exists_mask(
-        self, qmask: int, f: int, g: int, cache: dict[int, int] | None = None
-    ) -> int:
+    def _and_exists_mask(self, qmask: int, f: int, g: int) -> int:
         if f == 0 or g == 0:
             return 0
         if f == 1 and g == 1:
             return 1
+        cache = self._ae_caches.get(qmask)
         if cache is None:
-            cache = self._ae_caches.get(qmask)
-            if cache is None:
-                cache = self._ae_caches[qmask] = {}
+            cache = self._ae_caches[qmask] = {}
         if f > g:
             f, g = g, f  # and/exists are symmetric: canonicalize the key
         root_key = (f << _SH) | g
         result = cache.get(root_key)
         if result is not None:
-            self._cache_lookups += 1
-            self._cache_hits += 1
+            self._settle(1, 1, 0)
             return result
         level = self._level
         low = self._low
         high = self._high
         unique = self._unique
         or_ = self.or_
-        lookups = hits = created = 0
-        # Frames: (phase << _PH) | (a << _SH) | b with canonical a <= b.
-        # phase 0 = expand low child, 1 = low resolved (short-circuit
-        # check, expand high), 2 = combine.
-        stack = [root_key]
-        push = stack.append
-        while stack:
-            frame = stack.pop()
-            phase = frame >> _PH
-            key = frame & _PH_MASK
-            if phase == 0:
-                lookups += 1
-                if key in cache:
-                    hits += 1
-                    continue
-            a = key >> _SH
-            b = key & _ID_MASK
+        supports = self._support_mask_cache
+        support_mask = self._support_mask
+        hits = created = 0
+
+        def product(a: int, b: int, key: int) -> int:
+            """The product of a canonical (a <= b) pair: low cofactors
+            first, the high ones only when the OR is not yet saturated."""
+            nonlocal hits, created
             la = level[a]
             lb = level[b]
             if la < lb:
@@ -754,65 +723,57 @@ class FastKernel(KernelBase):
                 lv = lb; a0 = a; a1 = a; b0 = low[b]; b1 = high[b]
             else:
                 lv = la; a0 = low[a]; a1 = high[a]; b0 = low[b]; b1 = high[b]
-            if phase == 0:
-                push(key | (1 << _PH))
-                if a0 > b0:
-                    a0, b0 = b0, a0
-                if a0 != 0 and not (a0 == 1 and b0 == 1):
-                    child = (a0 << _SH) | b0
-                    if child not in cache:
-                        push(child)
-            elif phase == 1:
-                if a0 > b0:
-                    a0, b0 = b0, a0
-                if a0 == 0:
-                    r0 = 0
-                elif a0 == 1 and b0 == 1:
-                    r0 = 1
-                else:
-                    r0 = cache[(a0 << _SH) | b0]
-                if r0 == 1 and (qmask >> lv) & 1:
-                    cache[key] = 1  # short-circuit: the OR is saturated
-                    continue
-                push(key | (2 << _PH))
-                if a1 > b1:
-                    a1, b1 = b1, a1
-                if a1 != 0 and not (a1 == 1 and b1 == 1):
-                    child = (a1 << _SH) | b1
-                    if child not in cache:
-                        push(child)
+            if a0 > b0:
+                a0, b0 = b0, a0
+            if a0 == 0:
+                r0 = 0
+            elif a0 == 1 and b0 == 1:
+                r0 = 1
             else:
-                if a0 > b0:
-                    a0, b0 = b0, a0
-                if a0 == 0:
-                    r0 = 0
-                elif a0 == 1 and b0 == 1:
-                    r0 = 1
-                else:
-                    r0 = cache[(a0 << _SH) | b0]
-                if a1 > b1:
-                    a1, b1 = b1, a1
-                if a1 == 0:
-                    r1 = 0
-                elif a1 == 1 and b1 == 1:
-                    r1 = 1
-                else:
-                    r1 = cache[(a1 << _SH) | b1]
-                if (qmask >> lv) & 1:
-                    # Inline or_'s trivial rules; fall through to the
-                    # full traversal only for two real operands.
-                    if r0 == 1 or r1 == 1:
-                        cache[key] = 1
-                    elif r0 == r1 or r0 == 0:
-                        cache[key] = r1
-                    elif r1 == 0:
-                        cache[key] = r0
+                child = (a0 << _SH) | b0
+                r0 = cache.get(child)
+                if r0 is None:
+                    if a0 == 1 and not qmask & (supports.get(b0) or support_mask(b0)):
+                        # Nothing left to quantify or conjoin: b0 itself.
+                        r0 = cache[child] = b0
                     else:
-                        cache[key] = or_(r0, r1)
-                    continue
-                if r0 == r1:
-                    cache[key] = r0
-                    continue
+                        r0 = product(a0, b0, child)
+                else:
+                    hits += 1
+            quantified = (qmask >> lv) & 1
+            if r0 == 1 and quantified:
+                cache[key] = 1  # short-circuit: the OR is saturated
+                return 1
+            if a1 > b1:
+                a1, b1 = b1, a1
+            if a1 == 0:
+                r1 = 0
+            elif a1 == 1 and b1 == 1:
+                r1 = 1
+            else:
+                child = (a1 << _SH) | b1
+                r1 = cache.get(child)
+                if r1 is None:
+                    if a1 == 1 and not qmask & (supports.get(b1) or support_mask(b1)):
+                        r1 = cache[child] = b1
+                    else:
+                        r1 = product(a1, b1, child)
+                else:
+                    hits += 1
+            if quantified:
+                # Inline or_'s trivial rules; fall through to the full
+                # traversal only for two real operands.
+                if r1 == 1:
+                    res = 1
+                elif r0 == r1 or r0 == 0:
+                    res = r1
+                elif r1 == 0:
+                    res = r0
+                else:
+                    res = or_(r0, r1)
+            elif r0 == r1:
+                res = r0
+            else:
                 unique_key = (lv << 56) | (r0 << _SH) | r1
                 res = unique.get(unique_key)
                 if res is None:
@@ -824,13 +785,16 @@ class FastKernel(KernelBase):
                     high.append(r1)
                     unique[unique_key] = res
                     created += 1
-                cache[key] = res
-        self._cache_lookups += lookups
-        self._cache_hits += hits
-        if created:
-            self._live += created
-            self._index_dirty = True
-        return cache[root_key]
+            cache[key] = res
+            return res
+
+        entries = len(cache)
+        try:
+            result = product(f, g, root_key)
+        finally:
+            del product  # the closure refers to itself: free it now, not in a GC pass
+        self._settle(hits + len(cache) - entries, hits, created)
+        return result
 
     def conj(self, items: list[int]) -> int:
         """Balanced-tree conjunction.

@@ -9,10 +9,12 @@ Two checkers share the CTL-on-BDDs machinery:
   :class:`repro.model.encoder.SymbolicUnionModel`: the transition relation
   comes straight from the apps' symbolic rules over shared attribute
   variable blocks, the check is restricted to the reachable-state fixpoint,
-  and the Cartesian product is never enumerated.  Counterexample witnesses
-  are extracted from the reachability frontiers and decoded into the same
-  :class:`~repro.model.kripke.KripkeState` objects the explicit checker
-  reports, so reporting is backend-agnostic.
+  and the Cartesian product is never enumerated.  A top-level ``AG p`` is
+  decided from that reachable set alone (``reach & !p`` empty, the forward
+  invariant check of NuSMV's ``INVARSPEC``), and its counterexample is
+  walked back over the encoder's stored BFS frontiers.  Witnesses are
+  decoded into the same :class:`~repro.model.kripke.KripkeState` objects
+  the explicit checker reports, so reporting is backend-agnostic.
 
 In both, EX is the relational preimage ``exists y . R(x, y) & f[y/x]``;
 EU/EG are the usual fixpoints computed entirely on BDDs.  Both are
@@ -207,8 +209,12 @@ class SymbolicModelChecker:
     The state space is the *reachable* fixpoint of the encoded relation
     (every product state is an initial state, mirroring the explicit
     Kripke construction, so reachability adds the event-labelled nodes on
-    top).  Atomic propositions resolve through the encoder's proposition
-    map; decoded witness states accumulate in :attr:`labels`, the
+    top).  Because every state of it is reachable, a top-level ``AG p`` is
+    decided as ``reach & !p == FALSE`` with its witness read off
+    ``encoder.frontiers``; nested operands and the other temporal
+    operators go through the :meth:`sat` fixpoints.  Atomic propositions
+    resolve through the encoder's proposition map; decoded witness
+    states accumulate in :attr:`labels`, the
     symbolic stand-in for ``KripkeStructure.labels`` that violation
     diagnosis (app attribution, reflection marking) reads.
     """
@@ -318,14 +324,32 @@ class SymbolicModelChecker:
         The returned :class:`~repro.mc.explicit.CheckResult` has the
         explicit checker's shape: on failure ``failing_states`` holds one
         decoded failing initial state and ``counterexample`` a decoded
-        witness path (AG: shortest path into the violation from the
-        reachability frontiers; AF: a lasso inside the EG region).
+        witness path.
+
+        A top-level ``AG p`` is the forward invariant check: every state
+        of the universe is reachable from an initial state, so ``AG p``
+        holds iff no reachable state violates ``p`` — one ``and_not``
+        of ``sat(p)`` against the encoder's reachable set, with no
+        fixpoint beyond those nested inside ``p``.  Its witness is
+        a shortest path walked back over the encoder's stored BFS
+        frontiers.  Every other formula is decided by :meth:`sat` (``AF``
+        witnesses are lassos inside the EG region, ``guard -> AG p``
+        witnesses shortest paths grown from the failing guard states).
         """
         if isinstance(formula, str):
             formula = ctl.parse_ctl(formula)
+        bdd = self.bdd
+        if isinstance(formula, ctl.AG):
+            bad = bdd.and_not(self._universe, self.sat(formula.operand))
+            result = CheckResult(formula=formula, holds=bad == bdd.FALSE)
+            if not result.holds:
+                path = self._ring_path(self.symbolic.frontiers, bad)
+                result.failing_states = path[:1]
+                result.counterexample = path
+            return result
         satisfied = self.sat(formula)
-        failing = self.bdd.and_not(self._initial, satisfied)
-        result = CheckResult(formula=formula, holds=failing == self.bdd.FALSE)
+        failing = bdd.and_not(self._initial, satisfied)
+        result = CheckResult(formula=formula, holds=failing == bdd.FALSE)
         if result.holds:
             return result
         start = self._register(failing)
@@ -347,17 +371,11 @@ class SymbolicModelChecker:
     def _attach_counterexample(
         self, formula: ctl.Formula, failing: int, result: CheckResult
     ) -> None:
-        if isinstance(formula, ctl.AG):
-            bad = self.bdd.and_(
-                self._universe, self.bdd.not_(self.sat(formula.operand))
-            )
+        if isinstance(formula, ctl.Implies) and isinstance(formula.right, ctl.AG):
+            bad = self.bdd.and_not(self._universe, self.sat(formula.right.operand))
             path = self._shortest_path(failing, bad)
             if path:
                 result.counterexample = path
-            return
-        if isinstance(formula, ctl.Implies) and isinstance(formula.right, ctl.AG):
-            # Common shape AG properties take after applicability guards.
-            self._attach_counterexample(formula.right, failing, result)
             return
         if isinstance(formula, ctl.AF):
             context = self.bdd.and_(
@@ -371,31 +389,43 @@ class SymbolicModelChecker:
             result.counterexample = [result.failing_states[0]]
 
     def _shortest_path(self, sources: int, targets: int) -> list[KripkeState]:
-        """A shortest witness path, walked back over BFS frontiers.
+        """A shortest path from ``sources`` into ``targets``.
 
-        Forward frontiers are grown from ``sources`` until one meets
-        ``targets``; the path is then reconstructed ring by ring through
-        symbolic preimages — each step decodes exactly one state.
+        Forward BFS frontiers are grown from ``sources`` until one meets
+        ``targets`` (or the search closes without meeting it), then
+        walked back by :meth:`_ring_path`.
         """
         bdd = self.bdd
         frontiers = [sources]
         covered = sources
-        hit = bdd.and_(sources, targets)
-        while hit == bdd.FALSE:
+        while bdd.and_(frontiers[-1], targets) == bdd.FALSE:
             nxt = bdd.and_not(self.symbolic.post(frontiers[-1]), covered)
             if nxt == bdd.FALSE:
                 return []
             frontiers.append(nxt)
             covered = bdd.or_(covered, nxt)
-            hit = bdd.and_(nxt, targets)
-        node = self._register(hit)
-        if node is None:
+        return self._ring_path(frontiers, targets)
+
+    def _ring_path(self, rings: list[int], targets: int) -> list[KripkeState]:
+        """A shortest path into ``targets`` over BFS rings.
+
+        ``rings[i]`` holds the states first reached in exactly ``i``
+        steps.  The path ends in a ``targets`` state of the first ring
+        that meets ``targets`` and is reconstructed ring by ring through
+        symbolic preimages — each step decodes exactly one state.  Empty
+        when no ring meets ``targets``.
+        """
+        bdd = self.bdd
+        for depth, ring in enumerate(rings):
+            hit = bdd.and_(ring, targets)
+            if hit != bdd.FALSE:
+                break
+        else:
             return []
-        path = [node]
+        path = [self._register(hit)]
         cube = self.symbolic.state_cube(self._last_assignment)
-        for ring in reversed(frontiers[:-1]):
-            candidates = bdd.and_(ring, self.symbolic.pre(cube))
-            node = self._register(candidates)
+        for ring in reversed(rings[:depth]):
+            node = self._register(bdd.and_(ring, self.symbolic.pre(cube)))
             if node is None:  # pragma: no cover - rings are connected
                 break
             path.append(node)

@@ -1,5 +1,6 @@
 """ROBDD package: canonicity, boolean algebra, quantification, counting."""
 
+import gc
 import itertools
 
 import pytest
@@ -330,6 +331,76 @@ def test_and_not_matches_truth_table_on_every_kernel(left, right):
             env = dict(zip(_VARS, values))
             expected = _eval_expr(left, env) and not _eval_expr(right, env)
             assert manager.evaluate(diff, env) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(boolean_exprs(), boolean_exprs(), st.sets(st.sampled_from(_VARS)))
+def test_and_exists_matches_truth_table_on_every_kernel(left, right, quantified):
+    names = sorted(quantified)
+    for name in available_kernels():
+        manager = make_kernel(name)
+        for var in _VARS:
+            manager.add_var(var)
+        f = _build_bdd(manager, left)
+        g = _build_bdd(manager, right)
+        fused = manager.and_exists(names, f, g)
+        listed = manager.and_exists_list(names, [f, g])
+        for values in itertools.product([False, True], repeat=len(_VARS)):
+            env = dict(zip(_VARS, values))
+            expected = any(
+                _eval_expr(left, point) and _eval_expr(right, point)
+                for bits in itertools.product([False, True], repeat=len(names))
+                for point in [{**env, **dict(zip(names, bits))}]
+            )
+            assert manager.evaluate(fused, env) == expected
+            assert manager.evaluate(listed, env) == expected
+
+
+def test_fast_kernel_handles_orders_deeper_than_the_default_recursion_limit():
+    """The fast kernel's apply loops recurse once per level: an order of
+    2400 variables, past the interpreter's default limit of 1000 frames,
+    still evaluates (x_i <-> y_i for every i, interleaved order)."""
+    manager = make_kernel("fast")
+    pairs = 1200
+    xs, ys = [], []
+    for i in range(pairs):
+        xs.append(manager.add_var(f"x{i}"))
+        ys.append(manager.add_var(f"y{i}"))
+    equal = manager.TRUE
+    some_x = manager.FALSE
+    for x, y in zip(reversed(xs), reversed(ys)):
+        same = manager.or_(
+            manager.and_(x, y), manager.and_(manager.not_(x), manager.not_(y))
+        )
+        equal = manager.and_(same, equal)
+        some_x = manager.or_(x, some_x)
+    x_names = [f"x{i}" for i in range(pairs)]
+    assert manager.count_sat(manager.and_not(equal, some_x)) == 1
+    assert manager.count_sat(manager.and_exists(x_names, equal, some_x)) == (
+        (2**pairs - 1) * 2**pairs
+    )
+
+
+def test_fast_kernel_apply_loops_leave_no_cyclic_garbage():
+    """The recursive apply closures refer to themselves; each call must
+    free its closure by reference counting, or every miss leaves a cycle
+    for the collector and the program's collections grow with BDD work."""
+    manager = make_kernel("fast")
+    names = [f"v{i}" for i in range(8)]
+    xs = [manager.add_var(name) for name in names]
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        acc = manager.FALSE
+        for a, b in zip(xs[::2], xs[1::2]):
+            acc = manager.or_(acc, manager.and_(a, b))
+        manager.and_not(acc, xs[3])
+        manager.and_exists(names[:4], acc, manager.or_(xs[0], xs[7]))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TestKernelRegistry:
