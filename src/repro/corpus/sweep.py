@@ -223,12 +223,6 @@ class SweepOutcome:
         return self.environment is None
 
     @property
-    def skipped(self) -> bool:
-        """Backwards-compatible alias of :attr:`failed` (pre-symbolic
-        sweeps reported oversized groups as "skipped")."""
-        return self.failed
-
-    @property
     def backend(self) -> str | None:
         """Checker backend that produced the result (None when failed)."""
         if self.environment is None:
@@ -293,12 +287,6 @@ def union_outcome(
     return SweepOutcome(group=group, environment=environment)
 
 
-#: Internal alias: the sweep paths below (and the failure-injection
-#: tests) reference the module global, so patching ``_union_outcome``
-#: still intercepts every sweep-side check.
-_union_outcome = union_outcome
-
-
 def _sweep_worker(
     group: tuple[str, ...],
     analyses: list[AppAnalysis],
@@ -308,7 +296,7 @@ def _sweep_worker(
     kernel: str,
     cache_dir: str | None = None,
 ) -> tuple[tuple[str, ...], SweepOutcome]:
-    return group, _union_outcome(
+    return group, union_outcome(
         group, analyses, max_union_states, backend, encoding, kernel, cache_dir
     )
 
@@ -378,7 +366,7 @@ def sweep_environments(
     # backend: the estimate is a cheap domain product over deduplicated
     # attributes, so doomed groups are failed without shipping their
     # analyses to any worker.  The StateExplosionError catch in
-    # _union_outcome stays as the backstop.
+    # union_outcome stays as the backstop.
     worker_cache = None if disk_path is None else str(disk_path)
     payloads: list[
         tuple[
@@ -410,7 +398,7 @@ def sweep_environments(
     for (group, group_analyses, budget, chosen, chosen_encoding,
          chosen_kernel, group_cache) in payloads:
         if group not in outcomes:
-            outcomes[group] = _union_outcome(
+            outcomes[group] = union_outcome(
                 group, group_analyses, budget, chosen, chosen_encoding,
                 chosen_kernel, group_cache,
             )

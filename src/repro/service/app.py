@@ -59,6 +59,11 @@ Hardening for real traffic:
   (:data:`HANDLER_TIMEOUT_SECONDS`), so a slow-loris client that
   under-sends its declared ``Content-Length`` is dropped (408) instead
   of parking a handler thread forever.
+- **Keep-alive transport.**  Accepted sockets carry ``TCP_NODELAY``,
+  so a response's body write never waits for the client's delayed ACK
+  of its headers (a keep-alive resubmission read takes ~1 ms, not
+  ~40 ms).  A refusal sent before the request body is read carries
+  ``Connection: close``: the unread bytes never reach the next request.
 - **Job TTL/GC.**  A ``job_ttl`` reaps settled records — memory and
   disk mirror — lazily and at startup; resubmission after GC re-runs
   cleanly.
@@ -702,6 +707,11 @@ def _analyze_in_worker(
 # ======================================================================
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted socket (StreamRequestHandler.setup).
+    # A response goes out as a header write then a body write; with
+    # Nagle on, the body waits for the client's delayed ACK of the
+    # headers, a fixed ~40 ms stall on every keep-alive response.
+    disable_nagle_algorithm = True
 
     def setup(self) -> None:
         # Socket read/write timeout: a stalled body read (slow-loris) or
@@ -732,6 +742,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
+        if self.close_connection:
+            # Tell the client this socket closes after the response, so
+            # it does not pipeline its next request into a dead one.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -833,13 +847,18 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 (http.server naming)
         path = urlparse(self.path).path.rstrip("/")
         if path not in ("/v1/submissions", "/v1/fleet"):
+            # The body is unread: on a kept-alive socket its bytes would
+            # be parsed as the next request, so this response closes it.
+            self.close_connection = True
             self._json(404, {"error": f"unknown path {path!r}"})
             return
         try:
-            tenant = self._tenant()
+            # Body first: every refusal after it leaves the socket at a
+            # request boundary, fit for the next keep-alive request.
             body = self._read_body()
             if body is None:  # refused: _read_body already answered
                 return
+            tenant = self._tenant()
             if path == "/v1/fleet":
                 payload = self.service.fleet_screen(body)
                 self._json(200, payload)

@@ -783,3 +783,112 @@ class TestDefaults:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
+
+
+# ----------------------------------------------------------------------
+# Keep-alive transport: no Nagle stall, no poisoned connections
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def live_server(instant_analysis, tmp_path):
+    """A thread-pool server on an ephemeral port, serving in a thread."""
+    server = build_server(
+        host="127.0.0.1", port=0, pool="thread", jobs=1,
+        state_dir=tmp_path / "state",
+    )
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.service.shutdown()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+def _exchange(conn, method, path, body=None):
+    """One request on a kept-alive connection; (status, body)."""
+    conn.request(method, path, body=body)
+    response = conn.getresponse()
+    return response.status, response.read()
+
+
+class TestKeepAlive:
+    def test_keep_alive_responses_do_not_wait_for_delayed_ack(self, live_server):
+        # Headers and body go out in two writes; with Nagle on, the body
+        # waited ~40 ms for the client's delayed ACK on every response
+        # (20 health reads took ~880 ms).  With TCP_NODELAY each is ~1 ms.
+        host, port = live_server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            submission = json.dumps({"source": GOOD, "name": "A"}).encode()
+            status, _body = _exchange(
+                conn, "POST", "/v1/submissions?wait=30", submission
+            )
+            assert status == 201
+            sock = conn.sock
+
+            start = time.perf_counter()
+            for _ in range(20):
+                status, _body = _exchange(conn, "GET", "/v1/health")
+                assert status == 200
+            health_s = time.perf_counter() - start
+
+            start = time.perf_counter()
+            for _ in range(20):
+                status, body = _exchange(
+                    conn, "POST", "/v1/submissions?wait=30", submission
+                )
+                assert status == 200 and json.loads(body)["status"] == "done"
+            resubmit_s = time.perf_counter() - start
+
+            assert conn.sock is sock, "the connection was not kept alive"
+            assert health_s < 0.4, f"20 health reads took {health_s:.3f}s"
+            assert resubmit_s < 0.4, f"20 resubmissions took {resubmit_s:.3f}s"
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize(
+        "path, headers, expected, closes",
+        [
+            ("/v1/nope", {}, 404, True),
+            # The tenant is checked after the body is read: nothing is
+            # left on the socket, so it stays open.
+            ("/v1/submissions", {"X-Soteria-Tenant": "bad tenant!"}, 400, False),
+            ("/v1/submissions", {"Content-Length": "many"}, 400, True),
+            (
+                "/v1/submissions",
+                {"Content-Length": str(app_mod.MAX_BODY_BYTES + 1)},
+                413,
+                True,
+            ),
+        ],
+        ids=["unknown-path", "bad-tenant", "bad-length", "oversized"],
+    )
+    def test_refused_post_does_not_poison_the_connection(
+        self, live_server, path, headers, expected, closes
+    ):
+        # A refusal sent before the body is read must close the socket
+        # (and say so); otherwise the unread body is parsed as the next
+        # request on the kept-alive connection and answered 400.
+        host, port = live_server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            body = json.dumps({"source": GOOD, "name": "A"}).encode()
+            conn.putrequest("POST", path)
+            conn.putheader("Content-Type", "application/json")
+            if "Content-Length" not in headers:
+                conn.putheader("Content-Length", str(len(body)))
+            for name, value in headers.items():
+                conn.putheader(name, value)
+            conn.endheaders(body)
+            response = conn.getresponse()
+            response.read()
+            assert response.status == expected
+            assert (response.headers["Connection"] == "close") is closes
+
+            status, health = _exchange(conn, "GET", "/v1/health")
+            assert status == 200
+            assert json.loads(health)["status"] == "ok"
+        finally:
+            conn.close()

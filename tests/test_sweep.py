@@ -115,7 +115,7 @@ class TestSweepEnvironments:
         outcomes = sweep_environments(groups, jobs=1)
         assert [o.group for o in outcomes] == [tuple(g) for g in groups]
         for outcome, (_ids, prop) in zip(outcomes, groundtruth.MALIOT_ENVIRONMENTS):
-            assert not outcome.skipped
+            assert not outcome.failed
             assert prop in outcome.violated_ids(), outcome.group
 
     def test_table4_sweep_reproduces_paper_totals(self):
@@ -140,7 +140,7 @@ class TestSweepEnvironments:
 
         monkeypatch.setattr(SmartApp, "from_source", boom)
         outcomes = sweep_environments([group], jobs=1)
-        assert not outcomes[0].skipped
+        assert not outcomes[0].failed
 
     def test_explicit_oversized_group_failed_not_raised(self):
         # Forcing the explicit backend restores the old budget behavior:
@@ -150,7 +150,6 @@ class TestSweepEnvironments:
             [group], jobs=1, max_union_states=100, backend="explicit"
         )
         assert outcomes[0].failed
-        assert outcomes[0].skipped  # backwards-compatible alias
         assert outcomes[0].backend is None
         assert "exceed" in outcomes[0].error
         assert outcomes[0].violated_ids() == set()
@@ -189,9 +188,20 @@ class TestSweepCaching:
         from repro.corpus.diskcache import SweepCache
 
         group = ("App1", "App15")
+        checked = []
+        real_outcome = sweep_mod.union_outcome
+
+        def counted(*args, **kwargs):
+            checked.append(args[0])
+            return real_outcome(*args, **kwargs)
+
         batch.clear_cache()
         try:
+            # The sweep looks union_outcome up as a module global, so
+            # patching it intercepts the check (and boom below bites).
+            monkeypatch.setattr(sweep_mod, "union_outcome", counted)
             cold = sweep_environments([group], jobs=1, cache_dir=tmp_path)
+            assert checked == [group]
             assert not cold[0].cached
             assert len(SweepCache(tmp_path).entries()) == 1
 
@@ -202,7 +212,7 @@ class TestSweepCaching:
             def boom(*_args, **_kwargs):
                 raise AssertionError("warm sweep re-checked a union model")
 
-            monkeypatch.setattr(sweep_mod, "_union_outcome", boom)
+            monkeypatch.setattr(sweep_mod, "union_outcome", boom)
             warm = sweep_environments([group], jobs=1, cache_dir=tmp_path)
             assert warm[0].cached
             assert warm[0].violated_ids() == cold[0].violated_ids()
@@ -268,5 +278,5 @@ class TestSweepDataset:
 class TestSweepOutcome:
     def test_skipped_outcome_shape(self):
         outcome = SweepOutcome(group=("A", "B"), environment=None, error="boom")
-        assert outcome.skipped
+        assert outcome.failed
         assert outcome.violated_ids() == set()
